@@ -471,8 +471,7 @@ func checkFiles(dirJSON, figJSON, clusterJSON, artTXT string) error {
 	}
 	for _, want := range []string{
 		"BenchmarkDirMatch/100", "BenchmarkDirMatch/10k", "BenchmarkDirMatch/1M",
-		"BenchmarkDirMatchInterp/100", "BenchmarkDirMatchInterp/10k", "BenchmarkDirMatchInterp/1M",
-		"BenchmarkDirAdd", "BenchmarkDirTakeRange",
+		"BenchmarkDirAdd/10k", "BenchmarkDirAdd/1M", "BenchmarkDirTakeRange",
 	} {
 		if !names[want] {
 			return fmt.Errorf("%s: benchmark %s missing", dirJSON, want)

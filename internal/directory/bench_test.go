@@ -73,29 +73,6 @@ func BenchmarkDirMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDirMatchInterp is BenchmarkDirMatch with the interpolation-search
-// fast path enabled; the bench values are uniform, the distribution the
-// O(log log n) probe bound holds for, so the delta against BenchmarkDirMatch
-// in BENCH_directory.json is the honest headline number.
-func BenchmarkDirMatchInterp(b *testing.B) {
-	for _, n := range []int{100, 10_000, 1_000_000} {
-		name := map[int]string{100: "100", 10_000: "10k", 1_000_000: "1M"}[n]
-		b.Run(name, func(b *testing.B) {
-			s := newBenchStore(n)
-			s.Configure(WithInterpolation())
-			ws := matchWindows(rand.New(rand.NewSource(7)), 1024)
-			var dst []resource.Info
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := ws[i&1023]
-				dst = s.MatchAppend(dst[:0], "cpu", w[0], w[1])
-			}
-			sinkInfos = dst
-		})
-	}
-}
-
 func BenchmarkDirMatchLinear(b *testing.B) {
 	for _, n := range []int{10_000} {
 		b.Run("10k", func(b *testing.B) {
@@ -116,13 +93,35 @@ var (
 	sinkEntries []Entry
 )
 
+// BenchmarkDirAdd measures one insert into a single-attribute partition of
+// fixed size, prefilled by Add so its blocks have the fill that inserts
+// leave behind. Each iteration pairs an Add with a Remove of the same
+// entry, so the partition size (and so the cost) does not depend on b.N.
 func BenchmarkDirAdd(b *testing.B) {
-	es := benchEntries(1 << 16)
-	var s Store
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(es[i&(1<<16-1)])
+	for _, n := range []int{10_000, 1_000_000} {
+		var s *Store // built on first use, shared by the b.N rounds
+		var fresh []Entry
+		b.Run(map[int]string{10_000: "10k", 1_000_000: "1M"}[n], func(b *testing.B) {
+			if s == nil {
+				es := benchEntries(n + 1<<16)
+				s = &Store{}
+				for i := range es[:n] {
+					es[i].Info.Attr = "cpu"
+					s.Add(es[i])
+				}
+				fresh = es[n:]
+				for i := range fresh {
+					fresh[i].Info.Attr = "cpu"
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := fresh[i&(1<<16-1)]
+				s.Add(e)
+				s.Remove(e)
+			}
+		})
 	}
 }
 

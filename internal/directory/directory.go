@@ -10,21 +10,22 @@
 // owns a partition holding the same entries in two sort orders:
 //
 //   - a value-ordered view answering range queries: Match(attr, lo, hi) is
-//     two binary searches plus one contiguous merge-copy, O(log n + k);
+//     two binary searches plus one contiguous copy-out, O(log n + k);
 //   - a key-ordered view answering churn handover: TakeRange(keyLo, keyHi)
 //     locates the departing key interval by binary search instead of
-//     scanning the whole directory with a closure, O(log n + k) to find
-//     (plus the slice compaction of the partitions it actually touches).
+//     scanning the whole directory with a closure, O(log n + k).
 //
-// Each view is a pair of sorted runs — a long merged `main` run and a small
-// `stage` run bounded by an adaptive threshold. Add binary-inserts into the
-// stage (cheap: the stage is small) and merges stage into main when the
-// threshold is reached, so insertion is amortized O(log n) with a small
-// constant and reads stay two binary searches per run. AddAll sorts its
-// batch once and merges it in a single pass — the bulk path key transfer
-// and replication repair ride on.
+// Each view is one blocked sorted sequence: an ordered slice of sorted
+// blocks of at most blockMax records. A binary search over the blocks'
+// last records picks a block and a second one the index inside it. Add
+// binary-inserts into one block and splits it in half when it is full, so
+// an insert costs O(log n + blockMax) and never copies the partition;
+// reads walk contiguous blocks from the first hit. Inside a partition an
+// entry is stored as an attribute-free record (key, value, owner) — 32
+// bytes instead of Entry's 48 — and rebuilt on read from the partition's
+// attribute name.
 //
-// Len and CountAttr are O(1) (an atomic total plus per-partition lengths).
+// Len and CountAttr are O(1) (an atomic total plus per-partition counts).
 //
 // # Concurrency
 //
@@ -41,13 +42,13 @@
 //
 // All orders are total (value ties broken by owner then key; key ties by
 // value then owner), so every query and snapshot is a pure function of the
-// stored multiset — results do not depend on insertion order or on how the
-// entries are currently split between runs. That keeps the experiment
-// figures value-identical under the parallel registration workload.
+// stored multiset — results do not depend on insertion order or on where
+// the block boundaries currently fall. That keeps the experiment figures
+// value-identical under the parallel registration workload.
 package directory
 
 import (
-	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,333 +65,406 @@ type Entry struct {
 	Info resource.Info
 }
 
-// valueLess is the total order of the value view: Value, then Owner, then
-// Key. Entries equal under it are identical in every field that matters to
-// a query, so run boundaries never leak into results.
-func valueLess(a, b Entry) bool {
-	if a.Info.Value != b.Info.Value {
-		return a.Info.Value < b.Info.Value
-	}
-	if a.Info.Owner != b.Info.Owner {
-		return a.Info.Owner < b.Info.Owner
-	}
-	return a.Key < b.Key
-}
-
-// keyLess is the total order of the key view: Key, then Value, then Owner.
-func keyLess(a, b Entry) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	if a.Info.Value != b.Info.Value {
-		return a.Info.Value < b.Info.Value
-	}
-	return a.Info.Owner < b.Info.Owner
-}
-
-type lessFn func(a, b Entry) bool
-
-// stageMax is the staging-run threshold for a main run of the given length:
-// large enough that merges amortize to a small constant per insert, capped
-// so a single stage insert never moves more than a few tens of KiB.
-func stageMax(mainLen int) int {
-	t := mainLen / 8
-	if t < 64 {
-		t = 64
-	}
-	if t > 1024 {
-		t = 1024
-	}
-	return t
-}
-
-// runs is one sort order over a partition's entries: a long sorted main run
-// plus a small sorted staging run.
-type runs struct {
-	main  []Entry
-	stage []Entry
-}
-
-func (r *runs) len() int { return len(r.main) + len(r.stage) }
-
-// insert binary-inserts e into the staging run, merging into main when the
-// stage reaches its threshold.
-func (r *runs) insert(e Entry, less lessFn) {
-	s := r.stage
-	// Upper bound: first index with e < s[i]; duplicates append after their
-	// equals, which for a total order is indistinguishable.
-	i, j := 0, len(s)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if less(e, s[h]) {
-			j = h
-		} else {
-			i = h + 1
-		}
-	}
-	s = append(s, Entry{})
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	r.stage = s
-	if len(r.stage) >= stageMax(len(r.main)) {
-		r.main = mergeRuns(r.main, r.stage, less)
-		r.stage = nil
-		mStageMerges.Inc()
-	}
-}
-
-// bulk merges an already-sorted batch in. Small batches fold into the
-// staging run; anything bigger merges straight into main.
-func (r *runs) bulk(sorted []Entry, less lessFn) {
-	if len(sorted) == 0 {
-		return
-	}
-	if len(sorted)+len(r.stage) < stageMax(len(r.main)) {
-		r.stage = mergeRuns(r.stage, sorted, less)
-		return
-	}
-	r.main = mergeRuns(r.main, mergeRuns(r.stage, sorted, less), less)
-	r.stage = nil
-	mStageMerges.Inc()
-}
-
-// mergeRuns merges two sorted slices into a freshly allocated sorted slice.
-func mergeRuns(a, b []Entry, less lessFn) []Entry {
-	if len(a) == 0 {
-		return append([]Entry(nil), b...)
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Entry, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// appendMerged appends both runs to dst in sorted order.
-func (r *runs) appendMerged(dst []Entry, less lessFn) []Entry {
-	a, b := r.main, r.stage
-	for len(a) > 0 && len(b) > 0 {
-		if less(b[0], a[0]) {
-			dst = append(dst, b[0])
-			b = b[1:]
-		} else {
-			dst = append(dst, a[0])
-			a = a[1:]
-		}
-	}
-	dst = append(dst, a...)
-	return append(dst, b...)
-}
-
-// Hand-rolled bounds for the read hot path (no closure, no interface).
-
-// lowerVal returns the first index with Value >= lo.
-func lowerVal(s []Entry, lo float64) int {
-	i, j := 0, len(s)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h].Info.Value < lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// upperVal returns the first index with Value > hi.
-func upperVal(s []Entry, hi float64) int {
-	i, j := 0, len(s)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h].Info.Value <= hi {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// Interpolation variants of the value bounds, used when the store was
-// configured WithInterpolation. Each probe position is predicted from the
-// value distribution of the remaining window instead of halving it; on
-// near-uniform data (the Figure 3 uniform value model) that converges in
-// O(log log n) probes. The probes are guarded — a bounded probe budget with
-// a binary-search tail — so adversarial distributions degrade gracefully to
-// O(log n) and the result index is always identical to lowerVal/upperVal.
-
-// interpProbeBudget bounds the interpolation phase; log log n for any
-// realistic n is < 6, so 8 guarded probes capture the win while capping the
-// pathological case (heavily clustered values) at a constant.
-const interpProbeBudget = 8
-
-// interpMinWindow is the window size below which interpolation stops paying
-// for its divisions and the binary tail finishes the search.
-const interpMinWindow = 32
-
-// lowerValInterp returns the first index with Value >= lo, equal to
-// lowerVal(s, lo) for every input.
-func lowerValInterp(s []Entry, lo float64) int {
-	i, j := 0, len(s)
-	for probe := 0; j-i > interpMinWindow && probe < interpProbeBudget; probe++ {
-		a, b := s[i].Info.Value, s[j-1].Info.Value
-		if a >= lo {
-			return i // invariant: everything before i is < lo
-		}
-		if b < lo {
-			return j // the whole window is < lo
-		}
-		if !(b > a) {
-			break // flat or NaN window: interpolation is undefined
-		}
-		h := i + int((lo-a)/(b-a)*float64(j-1-i))
-		if h <= i {
-			h = i + 1
-		} else if h >= j {
-			h = j - 1
-		}
-		if s[h].Info.Value < lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h].Info.Value < lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// upperValInterp returns the first index with Value > hi, equal to
-// upperVal(s, hi) for every input.
-func upperValInterp(s []Entry, hi float64) int {
-	i, j := 0, len(s)
-	for probe := 0; j-i > interpMinWindow && probe < interpProbeBudget; probe++ {
-		a, b := s[i].Info.Value, s[j-1].Info.Value
-		if a > hi {
-			return i
-		}
-		if b <= hi {
-			return j
-		}
-		if !(b > a) {
-			break
-		}
-		h := i + int((hi-a)/(b-a)*float64(j-1-i))
-		if h <= i {
-			h = i + 1
-		} else if h >= j {
-			h = j - 1
-		}
-		if s[h].Info.Value <= hi {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h].Info.Value <= hi {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// lowerKey returns the first index with Key >= k.
-func lowerKey(s []Entry, k uint64) int {
-	i, j := 0, len(s)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h].Key < k {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// upperKey returns the first index with Key > k.
-func upperKey(s []Entry, k uint64) int {
-	i, j := 0, len(s)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h].Key <= k {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// partition holds one attribute's entries in both sort orders under one
-// lock shard.
-type partition struct {
-	mu   sync.RWMutex
-	vals runs // value order: Match / MatchAppend
-	keys runs // key order: TakeRange / Remove
-}
-
-// ident identifies one logical entry for multiset bookkeeping inside
-// removal paths (the attribute is fixed per partition).
-type ident struct {
+// rec is an Entry without its attribute, which the partition holding it
+// stores once.
+type rec struct {
 	key   uint64
 	value float64
 	owner string
 }
 
-func identOf(e Entry) ident {
-	return ident{key: e.Key, value: e.Info.Value, owner: e.Info.Owner}
+func recOf(e Entry) rec { return rec{key: e.Key, value: e.Info.Value, owner: e.Info.Owner} }
+
+func (r rec) entry(attr string) Entry {
+	return Entry{Key: r.key, Info: resource.Info{Attr: attr, Value: r.value, Owner: r.owner}}
+}
+
+// valueLess is the total order of the value view: value, then owner, then
+// key. Records equal under it are identical, so block boundaries never
+// leak into results.
+func valueLess(a, b rec) bool {
+	if a.value != b.value {
+		return a.value < b.value
+	}
+	if a.owner != b.owner {
+		return a.owner < b.owner
+	}
+	return a.key < b.key
+}
+
+// keyLess is the total order of the key view: key, then value, then owner.
+func keyLess(a, b rec) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.value != b.value {
+		return a.value < b.value
+	}
+	return a.owner < b.owner
+}
+
+type lessFn func(a, b rec) bool
+
+const (
+	// blockMax bounds a block; inserting into a full block first splits it
+	// into two halves, so the memmove per insert stays under 16 KiB.
+	blockMax = 512
+	// blockGrow is the capacity step of a growing block (doubling below
+	// it), instead of append's doubling, which would leave up to half of
+	// every large block unused.
+	blockGrow = 32
+	// bulkShare: an AddAll batch holding at least 1/bulkShare as many
+	// records as its partition rebuilds the partition in one merge instead
+	// of inserting record by record.
+	bulkShare = 32
+)
+
+// seq is one sort order over a partition's records: an ordered slice of
+// non-empty sorted blocks of at most blockMax records whose concatenation
+// is sorted. A position in it is a (block, index) pair; (len(blocks), 0)
+// is the end.
+type seq struct {
+	blocks []block
+	n      int
+}
+
+// block is one sorted run plus a copy of its last record, so the search
+// for a block reads only the contiguous block headers.
+type block struct {
+	recs []rec
+	last rec
+}
+
+// set stores block bi's records and refreshes its last-record copy. An
+// emptied block keeps a stale copy until dropEmpty or cutBlock deletes it.
+func (s *seq) set(bi int, b []rec) {
+	s.blocks[bi].recs = b
+	if len(b) > 0 {
+		s.blocks[bi].last = b[len(b)-1]
+	}
+}
+
+// lower returns the position of the first record not less than r.
+func (s *seq) lower(r rec, less lessFn) (int, int) {
+	i, j := 0, len(s.blocks)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if less(s.blocks[h].last, r) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == len(s.blocks) {
+		return i, 0
+	}
+	b := s.blocks[i].recs
+	lo, hi := 0, len(b)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if less(b[h], r) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return i, lo
+}
+
+// Hand-rolled bounds for the read hot path (no closure, no interface).
+
+// valBound returns the position of the first record with value >= v, or
+// with value > v when upper is set.
+func (s *seq) valBound(v float64, upper bool) (int, int) {
+	i, j := 0, len(s.blocks)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if x := s.blocks[h].last.value; x < v || upper && x == v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == len(s.blocks) {
+		return i, 0
+	}
+	b := s.blocks[i].recs
+	lo, hi := 0, len(b)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if x := b[h].value; x < v || upper && x == v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return i, lo
+}
+
+// keyBound returns the position of the first record with key >= k, or with
+// key > k when upper is set.
+func (s *seq) keyBound(k uint64, upper bool) (int, int) {
+	i, j := 0, len(s.blocks)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if x := s.blocks[h].last.key; x < k || upper && x == k {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == len(s.blocks) {
+		return i, 0
+	}
+	b := s.blocks[i].recs
+	lo, hi := 0, len(b)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if x := b[h].key; x < k || upper && x == k {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return i, lo
+}
+
+// count returns the number of records between two positions, or a number
+// <= 0 when the second does not follow the first.
+func (s *seq) count(b1, i1, b2, i2 int) int {
+	if b1 > b2 {
+		return 0
+	}
+	k := i2 - i1
+	for b := b1; b < b2; b++ {
+		k += len(s.blocks[b].recs)
+	}
+	return k
+}
+
+// each calls f on the runs of records between two positions, in order.
+func (s *seq) each(b1, i1, b2, i2 int, f func([]rec)) {
+	for b := b1; b <= b2 && b < len(s.blocks); b++ {
+		run := s.blocks[b].recs
+		if b == b2 {
+			run = run[:i2]
+		}
+		if b == b1 {
+			run = run[i1:]
+		}
+		f(run)
+	}
+}
+
+// insert binary-inserts r, splitting its block in half first if full.
+func (s *seq) insert(r rec, less lessFn) {
+	s.n++
+	bi, i := s.lower(r, less)
+	if bi == len(s.blocks) {
+		if bi == 0 {
+			s.blocks = append(s.blocks, block{recs: []rec{r}, last: r})
+			return
+		}
+		// Greater than every record: append to the last block.
+		bi--
+		i = len(s.blocks[bi].recs)
+	}
+	b := s.blocks[bi].recs
+	if len(b) == blockMax {
+		// Both halves move to new arrays with room for blockGrow inserts,
+		// so no block keeps more than blockGrow unused slots.
+		const h = blockMax / 2
+		left := append(make([]rec, 0, h+blockGrow), b[:h]...)
+		right := append(make([]rec, 0, blockMax-h+blockGrow), b[h:]...)
+		s.set(bi, left)
+		s.blocks = slices.Insert(s.blocks, bi+1, block{recs: right, last: right[len(right)-1]})
+		mBlockSplits.Inc()
+		b = left
+		if i > h {
+			bi, i, b = bi+1, i-h, right
+		}
+	}
+	if len(b) == cap(b) {
+		grown := make([]rec, len(b)+1, cap(b)+min(cap(b), blockGrow))
+		copy(grown, b[:i])
+		copy(grown[i+1:], b[i:])
+		b = grown
+	} else {
+		b = b[:len(b)+1]
+		copy(b[i+1:], b[i:])
+	}
+	b[i] = r
+	s.set(bi, b)
+}
+
+// merge folds a sorted batch in with one pass, rebuilding every block
+// half full and exactly sized.
+func (s *seq) merge(batch []rec, less lessFn) {
+	total := s.n + len(batch)
+	left := total
+	blocks := make([]block, 0, total/(blockMax/2)+1)
+	var cur []rec
+	put := func(r rec) {
+		if cur == nil {
+			cur = make([]rec, 0, min(left, blockMax/2))
+		}
+		cur = append(cur, r)
+		left--
+		if len(cur) == cap(cur) {
+			blocks = append(blocks, block{recs: cur, last: r})
+			cur = nil
+		}
+	}
+	for _, b := range s.blocks {
+		for _, r := range b.recs {
+			for len(batch) > 0 && less(batch[0], r) {
+				put(batch[0])
+				batch = batch[1:]
+			}
+			put(r)
+		}
+	}
+	for _, r := range batch {
+		put(r)
+	}
+	s.blocks, s.n = blocks, total
+}
+
+// cutBlock removes records [i, j) of block bi, deleting the block if it
+// empties.
+func (s *seq) cutBlock(bi, i, j int) {
+	b := s.blocks[bi].recs
+	w := i + copy(b[i:], b[j:])
+	clear(b[w:])
+	s.n -= j - i
+	if w == 0 {
+		s.blocks = slices.Delete(s.blocks, bi, bi+1)
+		return
+	}
+	s.set(bi, b[:w])
+}
+
+// cut removes the records between two positions, appending them to gone
+// in order: it cuts inside the two boundary blocks and drops the whole
+// blocks between them.
+func (s *seq) cut(gone []rec, b1, i1, b2, i2 int) []rec {
+	if b1 == b2 {
+		if i1 < i2 {
+			gone = append(gone, s.blocks[b1].recs[i1:i2]...)
+			s.cutBlock(b1, i1, i2)
+		}
+		return gone
+	}
+	gone = append(gone, s.blocks[b1].recs[i1:]...)
+	for _, b := range s.blocks[b1+1 : b2] {
+		gone = append(gone, b.recs...)
+		s.n -= len(b.recs)
+	}
+	if b2 < len(s.blocks) && i2 > 0 {
+		gone = append(gone, s.blocks[b2].recs[:i2]...)
+		s.cutBlock(b2, 0, i2)
+	}
+	s.blocks = slices.Delete(s.blocks, b1+1, b2)
+	s.cutBlock(b1, i1, len(s.blocks[b1].recs))
+	return gone
+}
+
+// remove deletes one record equal to r and reports whether one was found.
+func (s *seq) remove(r rec, less lessFn) bool {
+	bi, i := s.lower(r, less)
+	if bi == len(s.blocks) || s.blocks[bi].recs[i] != r {
+		return false
+	}
+	s.cutBlock(bi, i, i+1)
+	return true
+}
+
+// removeAll deletes one record equal to each of rs, which is sorted in
+// this sequence's order and present in it, compacting only the blocks
+// that hold them.
+func (s *seq) removeAll(rs []rec, less lessFn) {
+	if len(rs) == 0 {
+		return
+	}
+	bi, _ := s.lower(rs[0], less)
+	for ; len(rs) > 0 && bi < len(s.blocks); bi++ {
+		if less(s.blocks[bi].last, rs[0]) {
+			continue
+		}
+		b := s.blocks[bi].recs
+		w := 0
+		for _, r := range b {
+			if len(rs) > 0 && r == rs[0] {
+				rs = rs[1:]
+				continue
+			}
+			b[w] = r
+			w++
+		}
+		s.n -= len(b) - w
+		clear(b[w:])
+		s.set(bi, b[:w])
+	}
+	s.dropEmpty()
+}
+
+// filter removes the records whose entry pred reports true for, appending
+// those entries to moved.
+func (s *seq) filter(attr string, pred func(Entry) bool, moved []Entry) []Entry {
+	for bi := range s.blocks {
+		b := s.blocks[bi].recs
+		w := 0
+		for _, r := range b {
+			if e := r.entry(attr); pred(e) {
+				moved = append(moved, e)
+				continue
+			}
+			b[w] = r
+			w++
+		}
+		s.n -= len(b) - w
+		clear(b[w:])
+		s.set(bi, b[:w])
+	}
+	s.dropEmpty()
+	return moved
+}
+
+func (s *seq) dropEmpty() {
+	s.blocks = slices.DeleteFunc(s.blocks, func(b block) bool { return len(b.recs) == 0 })
+}
+
+// appendEntries appends every record, in order, as an entry of attr.
+func (s *seq) appendEntries(dst []Entry, attr string) []Entry {
+	for _, b := range s.blocks {
+		for _, r := range b.recs {
+			dst = append(dst, r.entry(attr))
+		}
+	}
+	return dst
+}
+
+// partition holds one attribute's records in both sort orders under one
+// lock shard.
+type partition struct {
+	mu   sync.RWMutex
+	attr string
+	vals seq // value order: Match / MatchAppend
+	keys seq // key order: TakeRange / Remove
+}
+
+// insert adds one record to both views.
+func (p *partition) insert(r rec) {
+	p.vals.insert(r, valueLess)
+	p.keys.insert(r, keyLess)
 }
 
 // Store is a concurrency-safe directory. The zero value is ready to use.
 type Store struct {
-	mu     sync.RWMutex
-	parts  map[string]*partition
-	names  []string // sorted attribute names, for deterministic iteration
-	count  atomic.Int64
-	interp atomic.Bool // use interpolation search on the value views
-}
-
-// Option configures a Store in place.
-type Option func(*Store)
-
-// WithInterpolation switches the value-view bounds in Match/MatchAppend to
-// guarded interpolation search (O(log log n) probes on near-uniform value
-// distributions, binary-search tail otherwise). Results are bit-identical
-// to the default binary search; only the probe sequence changes.
-func WithInterpolation() Option {
-	return func(s *Store) { s.interp.Store(true) }
-}
-
-// Configure applies options to the store. Safe to call at any time — the
-// zero value starts with every option off, and options flip atomics, so
-// concurrent readers observe either the old or the new configuration.
-func (s *Store) Configure(opts ...Option) {
-	for _, o := range opts {
-		o(s)
-	}
+	mu    sync.RWMutex
+	parts map[string]*partition
+	names []string // sorted attribute names, for deterministic iteration
+	count atomic.Int64
 }
 
 // part returns the attribute's partition, or nil.
@@ -414,7 +488,7 @@ func (s *Store) partCreate(attr string) *partition {
 	if p := s.parts[attr]; p != nil {
 		return p
 	}
-	p := &partition{}
+	p := &partition{attr: attr}
 	s.parts[attr] = p
 	i := sort.SearchStrings(s.names, attr)
 	s.names = append(s.names, "")
@@ -438,32 +512,37 @@ func (s *Store) partitions() []*partition {
 func (s *Store) Add(e Entry) {
 	p := s.partCreate(e.Info.Attr)
 	p.mu.Lock()
-	p.vals.insert(e, valueLess)
-	p.keys.insert(e, keyLess)
+	p.insert(recOf(e))
 	p.mu.Unlock()
 	s.count.Add(1)
 	mAdds.Inc()
 }
 
 // AddAll stores a batch of entries (used by key transfer). The batch is
-// grouped by attribute and each group merges into its partition in one
-// pass, so bulk handover does not pay per-entry insertion.
+// grouped by attribute; a group large against its partition is sorted once
+// per view and merged in one pass, a small one is inserted record by
+// record.
 func (s *Store) AddAll(es []Entry) {
 	if len(es) == 0 {
 		return
 	}
-	groups := make(map[string][]Entry)
+	groups := make(map[string][]rec)
 	for _, e := range es {
-		groups[e.Info.Attr] = append(groups[e.Info.Attr], e)
+		groups[e.Info.Attr] = append(groups[e.Info.Attr], recOf(e))
 	}
 	for attr, batch := range groups {
 		p := s.partCreate(attr)
-		sort.Slice(batch, func(i, j int) bool { return valueLess(batch[i], batch[j]) })
 		p.mu.Lock()
-		p.vals.bulk(batch, valueLess)
-		byKey := append([]Entry(nil), batch...)
-		sort.Slice(byKey, func(i, j int) bool { return keyLess(byKey[i], byKey[j]) })
-		p.keys.bulk(byKey, keyLess)
+		if len(batch)*bulkShare < p.vals.n {
+			for _, r := range batch {
+				p.insert(r)
+			}
+		} else {
+			sort.Slice(batch, func(i, j int) bool { return valueLess(batch[i], batch[j]) })
+			p.vals.merge(batch, valueLess)
+			sort.Slice(batch, func(i, j int) bool { return keyLess(batch[i], batch[j]) })
+			p.keys.merge(batch, keyLess)
+		}
 		p.mu.Unlock()
 	}
 	s.count.Add(int64(len(es)))
@@ -482,7 +561,7 @@ func (s *Store) CountAttr(attr string) int {
 		return 0
 	}
 	p.mu.RLock()
-	n := p.vals.len()
+	n := p.vals.n
 	p.mu.RUnlock()
 	return n
 }
@@ -496,7 +575,7 @@ func (s *Store) Match(attr string, lo, hi float64) []resource.Info {
 // MatchAppend appends the pieces matching [lo, hi] to dst and returns the
 // extended slice. It allocates only when dst lacks capacity (and then
 // exactly once), so range walks that reuse a buffer run allocation-free:
-// two binary searches per run plus one merge-copy of the k matches.
+// two binary searches plus one copy-out of the k matches.
 func (s *Store) MatchAppend(dst []resource.Info, attr string, lo, hi float64) []resource.Info {
 	mMatches.Inc()
 	p := s.part(attr)
@@ -505,42 +584,28 @@ func (s *Store) MatchAppend(dst []resource.Info, attr string, lo, hi float64) []
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	m, st := p.vals.main, p.vals.stage
-	var i1, j1, i2, j2 int
-	if s.interp.Load() {
-		i1, j1 = lowerValInterp(m, lo), upperValInterp(m, hi)
-		i2, j2 = lowerValInterp(st, lo), upperValInterp(st, hi)
-	} else {
-		i1, j1 = lowerVal(m, lo), upperVal(m, hi)
-		i2, j2 = lowerVal(st, lo), upperVal(st, hi)
-	}
-	k := (j1 - i1) + (j2 - i2)
-	if k == 0 {
+	b1, i1 := p.vals.valBound(lo, false)
+	b2, i2 := p.vals.valBound(hi, true)
+	k := p.vals.count(b1, i1, b2, i2)
+	if k <= 0 {
 		return dst
 	}
-	if cap(dst)-len(dst) < k {
-		grown := make([]resource.Info, len(dst), len(dst)+k)
+	n := len(dst)
+	if cap(dst)-n < k {
+		grown := make([]resource.Info, n, n+k)
 		copy(grown, dst)
 		dst = grown
 	}
-	a, b := m[i1:j1], st[i2:j2]
-	for len(a) > 0 && len(b) > 0 {
-		if valueLess(b[0], a[0]) {
-			dst = append(dst, b[0].Info)
-			b = b[1:]
-		} else {
-			dst = append(dst, a[0].Info)
-			a = a[1:]
+	out := dst[n : n+k]
+	p.vals.each(b1, i1, b2, i2, func(run []rec) {
+		for i := range run {
+			o, r := &out[i], &run[i]
+			o.Attr, o.Value, o.Owner = attr, r.value, r.owner
 		}
-	}
-	for i := range a {
-		dst = append(dst, a[i].Info)
-	}
-	for i := range b {
-		dst = append(dst, b[i].Info)
-	}
+		out = out[len(run):]
+	})
 	mMatchEntries.Add(uint64(k))
-	return dst
+	return dst[:n+k]
 }
 
 // MatchEntriesAppend is MatchAppend at Entry granularity: it appends the
@@ -556,38 +621,28 @@ func (s *Store) MatchEntriesAppend(dst []Entry, attr string, lo, hi float64) []E
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	m, st := p.vals.main, p.vals.stage
-	var i1, j1, i2, j2 int
-	if s.interp.Load() {
-		i1, j1 = lowerValInterp(m, lo), upperValInterp(m, hi)
-		i2, j2 = lowerValInterp(st, lo), upperValInterp(st, hi)
-	} else {
-		i1, j1 = lowerVal(m, lo), upperVal(m, hi)
-		i2, j2 = lowerVal(st, lo), upperVal(st, hi)
-	}
-	k := (j1 - i1) + (j2 - i2)
-	if k == 0 {
+	b1, i1 := p.vals.valBound(lo, false)
+	b2, i2 := p.vals.valBound(hi, true)
+	k := p.vals.count(b1, i1, b2, i2)
+	if k <= 0 {
 		return dst
 	}
-	if cap(dst)-len(dst) < k {
-		grown := make([]Entry, len(dst), len(dst)+k)
+	n := len(dst)
+	if cap(dst)-n < k {
+		grown := make([]Entry, n, n+k)
 		copy(grown, dst)
 		dst = grown
 	}
-	a, b := m[i1:j1], st[i2:j2]
-	for len(a) > 0 && len(b) > 0 {
-		if valueLess(b[0], a[0]) {
-			dst = append(dst, b[0])
-			b = b[1:]
-		} else {
-			dst = append(dst, a[0])
-			a = a[1:]
+	out := dst[n : n+k]
+	p.vals.each(b1, i1, b2, i2, func(run []rec) {
+		for i := range run {
+			o, r := &out[i], &run[i]
+			o.Key, o.Info.Attr, o.Info.Value, o.Info.Owner = r.key, attr, r.value, r.owner
 		}
-	}
-	dst = append(dst, a...)
-	dst = append(dst, b...)
+		out = out[len(run):]
+	})
 	mMatchEntries.Add(uint64(k))
-	return dst
+	return dst[:n+k]
 }
 
 // AtKey returns every entry stored under the given overlay key, across all
@@ -598,13 +653,13 @@ func (s *Store) AtKey(key uint64) []Entry {
 	var out []Entry
 	for _, p := range s.partitions() {
 		p.mu.RLock()
-		start := len(out)
-		for _, run := range [][]Entry{p.keys.main, p.keys.stage} {
-			i, j := lowerKey(run, key), upperKey(run, key)
-			out = append(out, run[i:j]...)
-		}
-		part := out[start:]
-		sort.Slice(part, func(i, j int) bool { return keyLess(part[i], part[j]) })
+		b1, i1 := p.keys.keyBound(key, false)
+		b2, i2 := p.keys.keyBound(key, true)
+		p.keys.each(b1, i1, b2, i2, func(run []rec) {
+			for _, r := range run {
+				out = append(out, r.entry(p.attr))
+			}
+		})
 		p.mu.RUnlock()
 	}
 	return out
@@ -620,15 +675,9 @@ func (s *Store) Contains(e Entry) bool {
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	for _, run := range [][]Entry{p.keys.main, p.keys.stage} {
-		i := lowerKey(run, e.Key)
-		for ; i < len(run) && run[i].Key == e.Key; i++ {
-			if run[i] == e {
-				return true
-			}
-		}
-	}
-	return false
+	r := recOf(e)
+	bi, i := p.keys.lower(r, keyLess)
+	return bi < len(p.keys.blocks) && p.keys.blocks[bi].recs[i] == r
 }
 
 // TakeRange removes and returns every entry whose key lies in the interval
@@ -651,65 +700,46 @@ func (s *Store) TakeRange(keyLo, keyHi uint64, wrapped bool) []Entry {
 }
 
 // takeRange extracts this partition's share of the key interval, appending
-// the moved entries to dst.
+// the moved entries to dst in key order.
 func (p *partition) takeRange(dst []Entry, lo, hi uint64, wrapped bool) []Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.keys.len() == 0 {
+	// Cheap reject: partition entirely outside the interval.
+	if min, max, ok := p.keys.keyBounds(); !ok || !intervalOverlaps(lo, hi, wrapped, min, max) {
 		return dst
 	}
-	// Cheap reject: partition entirely outside the interval. The key view's
-	// global bounds are the first of main/stage and the last of main/stage.
-	if min, max, ok := p.keyBounds(); ok && !intervalOverlaps(lo, hi, wrapped, min, max) {
-		return dst
+	k := &p.keys
+	var gone []rec
+	switch {
+	case !wrapped:
+		b1, i1 := k.keyBound(lo, false)
+		b2, i2 := k.keyBound(hi, true)
+		gone = k.cut(gone, b1, i1, b2, i2)
+	case lo <= hi:
+		// A wrapped interval with lo <= hi covers the whole ring.
+		gone = k.cut(gone, 0, 0, len(k.blocks), 0)
+	default:
+		// [min, hi] first, so the moved records stay in key order.
+		b, i := k.keyBound(hi, true)
+		gone = k.cut(gone, 0, 0, b, i)
+		b, i = k.keyBound(lo, false)
+		gone = k.cut(gone, b, i, len(k.blocks), 0)
 	}
-	start := len(dst)
-	dst, p.keys.main = cutKeyRange(dst, p.keys.main, lo, hi, wrapped)
-	dst, p.keys.stage = cutKeyRange(dst, p.keys.stage, lo, hi, wrapped)
-	removed := dst[start:]
-	if len(removed) == 0 {
-		return dst
+	for _, r := range gone {
+		dst = append(dst, r.entry(p.attr))
 	}
-	// Sort the moved entries into key order across the two runs so the
-	// return order is a pure function of the stored multiset.
-	sort.Slice(removed, func(i, j int) bool { return keyLess(removed[i], removed[j]) })
-	// Remove the identical multiset from the value view, compacting only
-	// the value window the moved entries span.
-	need := make(map[ident]int, len(removed))
-	minV, maxV := math.Inf(1), math.Inf(-1)
-	for _, e := range removed {
-		need[identOf(e)]++
-		if e.Info.Value < minV {
-			minV = e.Info.Value
-		}
-		if e.Info.Value > maxV {
-			maxV = e.Info.Value
-		}
-	}
-	p.vals.main = filterValueWindow(p.vals.main, minV, maxV, need)
-	p.vals.stage = filterValueWindow(p.vals.stage, minV, maxV, need)
+	// Remove the identical multiset from the value view.
+	sort.Slice(gone, func(i, j int) bool { return valueLess(gone[i], gone[j]) })
+	p.vals.removeAll(gone, valueLess)
 	return dst
 }
 
-// keyBounds returns the smallest and largest key in the partition.
-func (p *partition) keyBounds() (min, max uint64, ok bool) {
-	m, st := p.keys.main, p.keys.stage
-	switch {
-	case len(m) == 0 && len(st) == 0:
+// keyBounds returns the smallest and largest key in the sequence.
+func (s *seq) keyBounds() (min, max uint64, ok bool) {
+	if len(s.blocks) == 0 {
 		return 0, 0, false
-	case len(m) == 0:
-		return st[0].Key, st[len(st)-1].Key, true
-	case len(st) == 0:
-		return m[0].Key, m[len(m)-1].Key, true
 	}
-	min, max = m[0].Key, m[len(m)-1].Key
-	if st[0].Key < min {
-		min = st[0].Key
-	}
-	if st[len(st)-1].Key > max {
-		max = st[len(st)-1].Key
-	}
-	return min, max, true
+	return s.blocks[0].recs[0].key, s.blocks[len(s.blocks)-1].last.key, true
 }
 
 // intervalOverlaps reports whether the (possibly wrapped) key interval
@@ -721,78 +751,25 @@ func intervalOverlaps(lo, hi uint64, wrapped bool, min, max uint64) bool {
 	return max >= lo && min <= hi
 }
 
-// cutKeyRange removes the key interval from one sorted-by-key run,
-// appending the removed entries to dst and returning the compacted run.
-func cutKeyRange(dst []Entry, s []Entry, lo, hi uint64, wrapped bool) ([]Entry, []Entry) {
-	if !wrapped {
-		i, j := lowerKey(s, lo), upperKey(s, hi)
-		if i == j {
-			return dst, s
-		}
-		dst = append(dst, s[i:j]...)
-		w := i + copy(s[i:], s[j:])
-		zeroTail(s, w)
-		return dst, s[:w]
-	}
-	// Wrapped: prefix [0, j) has keys <= hi, suffix [i, len) has keys >= lo.
-	j := upperKey(s, hi)
-	i := lowerKey(s, lo)
-	if i < j {
-		// Degenerate wrapped interval covering everything.
-		i = j
-	}
-	if j == 0 && i == len(s) {
-		return dst, s
-	}
-	dst = append(dst, s[:j]...)
-	dst = append(dst, s[i:]...)
-	w := copy(s, s[j:i])
-	zeroTail(s, w)
-	return dst, s[:w]
-}
-
-// filterValueWindow removes entries matching the need multiset from one
-// sorted-by-value run, touching only the [lo, hi] value window.
-func filterValueWindow(s []Entry, lo, hi float64, need map[ident]int) []Entry {
-	from, to := lowerVal(s, lo), upperVal(s, hi)
-	w := from
-	for i := from; i < to; i++ {
-		id := identOf(s[i])
-		if c := need[id]; c > 0 {
-			need[id] = c - 1
-			continue
-		}
-		s[w] = s[i]
-		w++
-	}
-	w += copy(s[w:], s[to:])
-	zeroTail(s, w)
-	return s[:w]
-}
-
-// zeroTail clears s[w:] so removed entries do not linger in backing arrays.
-func zeroTail(s []Entry, w int) {
-	for i := w; i < len(s); i++ {
-		s[i] = Entry{}
-	}
-}
-
 // TakeIf removes and returns every entry for which shouldMove reports true.
 // It is the general predicate fallback (TakeRange covers the key-interval
-// case in O(log n + k)); the predicate must be pure — it is evaluated once
-// per entry per view. Entries are scanned partition by partition in
-// attribute order.
+// case in O(log n + k)); the predicate is evaluated once per entry.
+// Entries are scanned partition by partition in attribute order, each
+// partition's in value order.
 func (s *Store) TakeIf(shouldMove func(Entry) bool) []Entry {
 	var moved []Entry
 	for _, p := range s.partitions() {
 		p.mu.Lock()
 		start := len(moved)
-		moved = filterPred(&p.vals.main, shouldMove, moved, true)
-		moved = filterPred(&p.vals.stage, shouldMove, moved, true)
-		if len(moved) > start {
+		moved = p.vals.filter(p.attr, shouldMove, moved)
+		if gone := moved[start:]; len(gone) > 0 {
 			// Mirror the removal in the key view.
-			filterPred(&p.keys.main, shouldMove, nil, false)
-			filterPred(&p.keys.stage, shouldMove, nil, false)
+			rs := make([]rec, len(gone))
+			for i, e := range gone {
+				rs[i] = recOf(e)
+			}
+			sort.Slice(rs, func(i, j int) bool { return keyLess(rs[i], rs[j]) })
+			p.keys.removeAll(rs, keyLess)
 		}
 		p.mu.Unlock()
 	}
@@ -801,26 +778,6 @@ func (s *Store) TakeIf(shouldMove func(Entry) bool) []Entry {
 		mHandedOver.Add(uint64(n))
 	}
 	return moved
-}
-
-// filterPred compacts *sp, dropping entries matching pred; dropped entries
-// are appended to collect when keep is set.
-func filterPred(sp *[]Entry, pred func(Entry) bool, collect []Entry, keep bool) []Entry {
-	s := *sp
-	w := 0
-	for i := range s {
-		if pred(s[i]) {
-			if keep {
-				collect = append(collect, s[i])
-			}
-			continue
-		}
-		s[w] = s[i]
-		w++
-	}
-	zeroTail(s, w)
-	*sp = s[:w]
-	return collect
 }
 
 // Remove deletes one entry equal to e (key, attribute, value and owner all
@@ -833,36 +790,13 @@ func (s *Store) Remove(e Entry) bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !cutExact(&p.keys.main, e, keyLess) && !cutExact(&p.keys.stage, e, keyLess) {
+	r := recOf(e)
+	if !p.keys.remove(r, keyLess) {
 		return false
 	}
-	if !cutExact(&p.vals.main, e, valueLess) {
-		cutExact(&p.vals.stage, e, valueLess)
-	}
+	p.vals.remove(r, valueLess)
 	s.count.Add(-1)
 	return true
-}
-
-// cutExact removes the first entry equal to e from the sorted run.
-func cutExact(sp *[]Entry, e Entry, less lessFn) bool {
-	s := *sp
-	// Lower bound: first index with !(s[i] < e).
-	i, j := 0, len(s)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if less(s[h], e) {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	if i < len(s) && s[i] == e {
-		copy(s[i:], s[i+1:])
-		s[len(s)-1] = Entry{}
-		*sp = s[:len(s)-1]
-		return true
-	}
-	return false
 }
 
 // TakeAll removes and returns everything (used by a departing node), in
@@ -871,9 +805,9 @@ func (s *Store) TakeAll() []Entry {
 	var all []Entry
 	for _, p := range s.partitions() {
 		p.mu.Lock()
-		all = p.vals.appendMerged(all, valueLess)
-		p.vals = runs{}
-		p.keys = runs{}
+		all = p.vals.appendEntries(all, p.attr)
+		p.vals = seq{}
+		p.keys = seq{}
 		p.mu.Unlock()
 	}
 	if n := len(all); n > 0 {
@@ -889,7 +823,7 @@ func (s *Store) Snapshot() []Entry {
 	var all []Entry
 	for _, p := range s.partitions() {
 		p.mu.RLock()
-		all = p.vals.appendMerged(all, valueLess)
+		all = p.vals.appendEntries(all, p.attr)
 		p.mu.RUnlock()
 	}
 	return all
@@ -912,11 +846,10 @@ func (s *Store) KeyCounts() []KeyCount {
 	counts := make(map[uint64]int)
 	for _, p := range s.partitions() {
 		p.mu.RLock()
-		for i := range p.keys.main {
-			counts[p.keys.main[i].Key]++
-		}
-		for i := range p.keys.stage {
-			counts[p.keys.stage[i].Key]++
+		for _, b := range p.keys.blocks {
+			for _, r := range b.recs {
+				counts[r.key]++
+			}
 		}
 		p.mu.RUnlock()
 	}

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -109,5 +110,38 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 8*200 {
 		t.Fatalf("Len = %d, want 1600", s.Len())
+	}
+}
+
+func TestKeyCounts(t *testing.T) {
+	var s Store
+	if kc := s.KeyCounts(); len(kc) != 0 {
+		t.Fatalf("empty store KeyCounts = %v", kc)
+	}
+	// Keys deliberately span attributes: 7 holds cpu and mem entries.
+	s.Add(entry(7, "cpu", 1, "a"))
+	s.Add(entry(7, "mem", 2, "b"))
+	s.Add(entry(3, "cpu", 3, "c"))
+	s.Add(entry(9, "net", 4, "d"))
+	s.Add(entry(7, "cpu", 5, "e"))
+	got := s.KeyCounts()
+	want := []KeyCount{{Key: 3, Count: 1}, {Key: 7, Count: 3}, {Key: 9, Count: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("KeyCounts = %v, want %v", got, want)
+	}
+	total := 0
+	for _, kc := range got {
+		total += kc.Count
+	}
+	if total != s.Len() {
+		t.Fatalf("KeyCounts total %d != Len %d", total, s.Len())
+	}
+	// The SWORD shape: every entry under one key is one indivisible group.
+	var pool Store
+	for i := 0; i < 50; i++ {
+		pool.Add(entry(42, "cpu", float64(i), "o"))
+	}
+	if kc := pool.KeyCounts(); len(kc) != 1 || kc[0] != (KeyCount{Key: 42, Count: 50}) {
+		t.Fatalf("single-key pool KeyCounts = %v", kc)
 	}
 }

@@ -15,9 +15,9 @@ var (
 	mMatchEntries = metrics.Default().Counter(
 		"directory_match_entries_total",
 		"Entries returned by directory range matches.")
-	mStageMerges = metrics.Default().Counter(
+	mBlockSplits = metrics.Default().Counter(
 		"directory_stage_merges_total",
-		"Staging-run merges into main runs (amortized insertion maintenance).")
+		"Directory block splits: a full block split in half by an insert (the family keeps its earlier staging-merge name).")
 	mTakeRanges = metrics.Default().Counter(
 		"directory_take_ranges_total",
 		"Key-interval extraction operations (TakeRange) during churn handover.")

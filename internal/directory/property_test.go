@@ -125,14 +125,17 @@ func TestPropertyVsLinearStore(t *testing.T) {
 			var ref linearStore
 			for i := 0; i < 400; i++ {
 				applyOp(t, rng, &s, &ref)
+				if err := s.checkInvariants(); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
 			}
 			checkInvariants(t, &s, &ref)
 		})
 	}
 }
 
-// TestPropertyManyMerges uses long runs of Adds so the staging buffer
-// merges into main many times, then checks range extraction still agrees.
+// TestPropertyManyMerges uses long runs of Adds so the blocks of every
+// view split many times, then checks range extraction still agrees.
 func TestPropertyManyMerges(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var s Store
@@ -239,6 +242,9 @@ func FuzzStoreOps(f *testing.F) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("TakeAll diverged at op %d", i)
 				}
+			}
+			if err := s.checkInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
 			}
 		}
 		if s.Len() != ref.Len() {

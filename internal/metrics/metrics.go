@@ -60,6 +60,17 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts 1.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
+// SetMax raises the value to n if n is larger, so concurrent callers
+// recording peaks never lower one another's.
+func (g *Gauge) SetMax(n int64) {
+	for {
+		cur := g.v.Load()
+		if n <= cur || g.v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -364,3 +364,30 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		}
 	})
 }
+
+// Many goroutines raise one peak at once and the peak must end at the
+// largest value offered. A load-compare-Set loop loses it: a goroutine that
+// compared against an older, lower peak can Set its own value after the
+// maximum landed.
+func TestGaugeSetMaxConcurrent(t *testing.T) {
+	var g Gauge
+	const workers, per = 8, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				g.SetMax(int64(i*workers + w))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := g.Value(), int64(per*workers-1); got != want {
+		t.Fatalf("peak = %d, want %d", got, want)
+	}
+	g.SetMax(3)
+	if got := g.Value(); got != per*workers-1 {
+		t.Fatalf("SetMax lowered the peak to %d", got)
+	}
+}

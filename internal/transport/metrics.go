@@ -76,19 +76,7 @@ var pipelineLiveSlots atomic.Int64
 // trackPipelineWindow accounts a new pipe's window and raises the
 // window-slots gauge if the live capacity hit a new max.
 func trackPipelineWindow(w int) {
-	cur := pipelineLiveSlots.Add(int64(w))
-	for {
-		prev := mPipelineWindowSlots.Value()
-		if cur <= prev {
-			return
-		}
-		// Gauge has no CAS; a concurrent larger Set can only raise the value
-		// further, and this loop re-checks until the max is stable.
-		mPipelineWindowSlots.Set(cur)
-		if mPipelineWindowSlots.Value() >= cur {
-			return
-		}
-	}
+	mPipelineWindowSlots.SetMax(pipelineLiveSlots.Add(int64(w)))
 }
 
 // untrackPipelineWindow releases a dead pipe's window capacity.
@@ -99,14 +87,7 @@ func untrackPipelineWindow(w int) {
 // trackPipelineInflight raises the in-flight peak gauge to the current
 // in-flight count if it is a new max.
 func trackPipelineInflight() {
-	cur := mPipelineInflight.Value()
-	for {
-		peak := mPipelineInflightPeak.Value()
-		if cur <= peak {
-			return
-		}
-		mPipelineInflightPeak.Set(cur)
-	}
+	mPipelineInflightPeak.SetMax(mPipelineInflight.Value())
 }
 
 // Batch-verb accounting: ops-in-frames is bumped once per decoded batch
